@@ -3,15 +3,15 @@
 //! Collects every table of the paper plus two traced runs per workload
 //! (FS-SLB to match the §5.1/§5.2 exchange-volume measurements, FS-DLB for
 //! the headline configuration), each carrying its full per-frame per-phase
-//! breakdown from `psa-trace`. The JSON is hand-rolled — the workspace is
-//! offline and deliberately serde-free — and [`BenchExport::validate`]
-//! rejects NaN or empty metrics before anything is written, so a CI
-//! artifact either contains real numbers or the job fails.
+//! breakdown from `psa-trace`. [`BenchExport::validate`] rejects NaN or
+//! empty metrics before anything is written, so a CI artifact either
+//! contains real numbers or the job fails.
 
 use psa_runtime::{BalanceMode, SpaceMode};
-use psa_trace::TraceReport;
+use psa_trace::{TraceReport, PHASES, PHASE_COUNT};
 use psa_workloads::{myrinet_gcc, WorkloadSize};
 
+use crate::artifact::{obj, Artifact, Json};
 use crate::runner::{Experiment, Runner};
 use crate::tables::{self, TableRow, CONFIG_COLUMNS};
 
@@ -75,11 +75,11 @@ pub fn collect(scale: f64, frames: u64) -> BenchExport {
     BenchExport { scale, size, frames, table1, table2, table3, traced }
 }
 
-impl BenchExport {
+impl Artifact for BenchExport {
     /// Reject empty tables, empty traces, and any non-finite metric. The
-    /// `bench` binary runs this before writing, so a committed or uploaded
-    /// `BENCH_3.json` can be trusted not to hide a NaN behind a `null`.
-    pub fn validate(&self) -> Result<(), String> {
+    /// `bench 3` subcommand runs this before writing, so a committed or
+    /// uploaded `BENCH_3.json` can be trusted not to hide a NaN.
+    fn validate(&self) -> Result<(), String> {
         for (name, rows) in
             [("table1", &self.table1), ("table2", &self.table2), ("table3", &self.table3)]
         {
@@ -125,82 +125,82 @@ impl BenchExport {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_3.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 3,\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"scale\": {}, \"systems\": {}, \"particles_per_system\": {}, \"frames\": {}}},\n",
-            json_f64(self.scale),
-            self.size.systems,
-            self.size.particles_per_system,
-            self.frames
-        ));
-        s.push_str("  \"columns\": [");
-        for (i, (c, _, _)) in CONFIG_COLUMNS.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{c}\""));
+    fn to_tree(&self) -> Json {
+        let table = |rows: &[TableRow]| -> Json {
+            rows.iter()
+                .map(|r| {
+                    obj! { "label" => r.label.as_str(), "ours" => &r.ours[..], "paper" => &r.paper[..] }
+                        .row()
+                })
+                .collect()
+        };
+        obj! {
+            "bench" => 3u64,
+            "workload" => obj! {
+                "scale" => self.scale,
+                "systems" => self.size.systems,
+                "particles_per_system" => self.size.particles_per_system,
+                "frames" => self.frames,
+            },
+            "columns" => CONFIG_COLUMNS.iter().map(|(c, _, _)| Json::from(*c)).collect::<Json>(),
+            "tables" => obj! {
+                "table1" => table(&self.table1),
+                "table2" => table(&self.table2),
+                "table3" => table(&self.table3),
+            },
+            "traced_runs" => self.traced.iter().map(|t| obj! {
+                "experiment" => t.experiment,
+                "config" => t.config,
+                "cluster" => t.cluster.as_str(),
+                "processes" => t.processes,
+                "speedup" => t.speedup,
+                "exchange" => obj! {
+                    "migrated_per_proc_frame" => t.migrated_per_proc_frame,
+                    "migration_kb_per_frame" => t.migration_kb_per_frame,
+                },
+                "phases" => phases_tree(&t.phases),
+            }).collect::<Json>(),
         }
-        s.push_str("],\n");
-        s.push_str("  \"tables\": {\n");
-        for (i, (name, rows)) in
-            [("table1", &self.table1), ("table2", &self.table2), ("table3", &self.table3)]
-                .iter()
-                .enumerate()
-        {
-            s.push_str(&format!("    \"{name}\": [\n"));
-            for (j, row) in rows.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {{\"label\": \"{}\", \"ours\": [{}], \"paper\": [{}]}}{}\n",
-                    row.label.replace('"', "'"),
-                    join_f64(&row.ours),
-                    join_f64(&row.paper),
-                    if j + 1 < rows.len() { "," } else { "" }
-                ));
-            }
-            s.push_str(&format!("    ]{}\n", if i < 2 { "," } else { "" }));
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"traced_runs\": [\n");
-        for (i, t) in self.traced.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"experiment\": \"{}\",\n", t.experiment));
-            s.push_str(&format!("      \"config\": \"{}\",\n", t.config));
-            s.push_str(&format!("      \"cluster\": \"{}\",\n", t.cluster));
-            s.push_str(&format!("      \"processes\": {},\n", t.processes));
-            s.push_str(&format!("      \"speedup\": {},\n", json_f64(t.speedup)));
-            s.push_str(&format!(
-                "      \"exchange\": {{\"migrated_per_proc_frame\": {}, \"migration_kb_per_frame\": {}}},\n",
-                json_f64(t.migrated_per_proc_frame),
-                json_f64(t.migration_kb_per_frame)
-            ));
-            // TraceReport::to_json is already valid JSON; reindent for
-            // readability of the composite file.
-            let phases = t.phases.to_json().replace('\n', "\n      ");
-            s.push_str(&format!("      \"phases\": {phases}\n"));
-            s.push_str(&format!("    }}{}\n", if i + 1 < self.traced.len() { "," } else { "" }));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
 
-/// JSON-safe float: finite prints round-trip, non-finite becomes `null`
-/// (validation upstream ensures the latter never reaches a written file).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// The tree of [`TraceReport::to_json`]: same fields, same layout.
+fn phases_tree(report: &TraceReport) -> Json {
+    let per_phase = |totals: [f64; PHASE_COUNT]| {
+        Json::Object(
+            PHASES.iter().zip(totals).map(|(p, t)| (p.name().to_string(), t.into())).collect(),
+        )
+    };
+    let frames = report.frames.iter().map(|f| {
+        let c = &f.counters;
+        obj! {
+            "frame" => f.frame,
+            "phases" => per_phase(f.phase_totals()),
+            "messages" => c.messages,
+            "payload_bytes" => c.payload_bytes,
+            "migrated" => c.migrated,
+            "migration_bytes" => c.migration_bytes,
+            "send_retries" => c.send_retries,
+            "timeouts" => c.timeouts,
+            "balance_orders" => c.balance_orders,
+            "balance_skips" => c.balance_skips,
+            "compute_chunks" => c.compute_chunks,
+            "snapshots" => c.snapshots,
+            "restores" => c.restores,
+        }
+        .row()
+    });
+    let faults = report
+        .faults
+        .iter()
+        .map(|e| obj! { "frame" => e.frame, "rank" => e.rank, "kind" => e.kind.name() });
+    obj! {
+        "clock" => report.clock.name(),
+        "ranks" => report.ranks,
+        "phase_totals" => per_phase(report.phase_totals()),
+        "frames" => frames.collect::<Json>(),
+        "faults" => faults.collect::<Json>().row(),
     }
-}
-
-fn join_f64(vs: &[f64]) -> String {
-    vs.iter().map(|v| json_f64(*v)).collect::<Vec<_>>().join(", ")
 }
 
 #[cfg(test)]
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn json_is_balanced_and_complete() {
         let e = smoke();
-        let j = e.to_json();
+        let j = e.to_json().expect("smoke export renders");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in [
@@ -238,6 +238,14 @@ mod tests {
             assert!(j.contains(key), "missing {key}");
         }
         assert!(!j.contains("NaN") && !j.contains("inf"));
+    }
+
+    #[test]
+    fn phases_render_like_the_trace_report() {
+        for t in &smoke().traced {
+            let rendered = crate::artifact::render(&phases_tree(&t.phases)).unwrap();
+            assert_eq!(rendered, t.phases.to_json() + "\n");
+        }
     }
 
     #[test]

@@ -15,19 +15,20 @@
 //!   CI machines with one core report the same numbers as a 32-core box);
 //!   real `thread::scope` workers exist for multicore hosts but are never
 //!   what the gate measures.
-//! * **Frame hot-path allocations** — the `bench4` binary counts heap
+//! * **Frame hot-path allocations** — the `bench 4` subcommand counts heap
 //!   allocations per frame of exchange staging before (fresh vectors +
 //!   `collect_leavers`) and after (`collect_leavers_into` + reused
 //!   buffers) the allocation-free rework, via a counting global allocator.
 //!
-//! Like `BENCH_3`, the JSON is hand-rolled and [`Bench4Export::validate`]
-//! rejects NaN/empty metrics before anything is written.
+//! Like `BENCH_3`, [`Bench4Export::validate`] rejects NaN/empty metrics
+//! before anything is written.
 
 use psa_core::kernel;
 use psa_runtime::{ParallelConfig, RunReport, VirtualSim};
 use psa_trace::Phase;
 use psa_workloads::{myrinet_gcc, paper_run_config, WorkloadSize};
 
+use crate::artifact::{fields, obj, Artifact, Json};
 use crate::runner::Experiment;
 
 /// Chunk size every BENCH_4 run uses (the kernel default).
@@ -61,7 +62,7 @@ pub struct Bench4Experiment {
     pub scaling: Vec<WorkerScale>,
 }
 
-/// Heap allocations per frame of exchange staging, measured by `bench4`'s
+/// Heap allocations per frame of exchange staging, measured by `bench 4`'s
 /// counting allocator.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AllocationCounts {
@@ -103,7 +104,7 @@ fn projected_compute_time(report: &RunReport, workers: usize) -> f64 {
 }
 
 /// Run the sweep and assemble the export. `allocations` comes from the
-/// caller (the `bench4` binary hosts the counting allocator).
+/// caller (the `bench` binary hosts the counting allocator).
 pub fn collect4(scale: f64, frames: u64, allocations: AllocationCounts) -> Bench4Export {
     let size = WorkloadSize::paper_scaled(scale);
     let mut experiments = Vec::new();
@@ -144,10 +145,10 @@ pub fn collect4(scale: f64, frames: u64, allocations: AllocationCounts) -> Bench
     Bench4Export { scale, frames, experiments, allocations }
 }
 
-impl Bench4Export {
+impl Artifact for Bench4Export {
     /// Reject empty sweeps, non-finite metrics, broken invariance, and a
     /// hot path that fails to beat the naive staging.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.experiments.is_empty() {
             return Err("no experiments collected".into());
         }
@@ -187,57 +188,24 @@ impl Bench4Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_4.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 4,\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"scale\": {}, \"frames\": {}}},\n",
-            json_f64(self.scale),
-            self.frames
-        ));
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"experiment\": \"{}\",\n", e.experiment));
-            s.push_str(&format!("      \"chunk\": {},\n", e.chunk));
-            s.push_str(&format!("      \"total_chunks\": {},\n", e.total_chunks));
-            s.push_str(&format!("      \"fingerprint_invariant\": {},\n", e.fingerprint_invariant));
-            s.push_str("      \"scaling\": [\n");
-            for (j, w) in e.scaling.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"workers\": {}, \"compute_time\": {}, \"speedup\": {}, \"fingerprint\": {}}}{}\n",
-                    w.workers,
-                    json_f64(w.compute_time),
-                    json_f64(w.speedup),
-                    w.fingerprint,
-                    if j + 1 < e.scaling.len() { "," } else { "" }
-                ));
+    fn to_tree(&self) -> Json {
+        let experiments = self.experiments.iter().map(|e| {
+            let scaling =
+                e.scaling.iter().map(|w| fields!(w => workers, compute_time, speedup, fingerprint));
+            obj! {
+                "experiment" => e.experiment,
+                "chunk" => e.chunk,
+                "total_chunks" => e.total_chunks,
+                "fingerprint_invariant" => e.fingerprint_invariant,
+                "scaling" => scaling.collect::<Json>(),
             }
-            s.push_str("      ]\n");
-            s.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.experiments.len() { "," } else { "" }
-            ));
+        });
+        obj! {
+            "bench" => 4u64,
+            "workload" => fields!(self => scale, frames),
+            "experiments" => experiments.collect::<Json>(),
+            "allocations" => fields!(self.allocations => naive_per_frame, hot_path_per_frame),
         }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"allocations\": {{\"naive_per_frame\": {}, \"hot_path_per_frame\": {}}}\n",
-            self.allocations.naive_per_frame, self.allocations.hot_path_per_frame
-        ));
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -268,7 +236,7 @@ mod tests {
 
     #[test]
     fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
+        let j = smoke().to_json().expect("smoke export renders");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in [

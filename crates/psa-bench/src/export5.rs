@@ -29,9 +29,8 @@
 //! exactly what a 1,000-rank run cannot afford; sparse changes virtual
 //! timing but never simulated state (the parity suite pins this).
 //!
-//! Like `BENCH_3`/`BENCH_4`, the JSON is hand-rolled and
-//! [`Bench5Export::validate`] rejects NaN/empty metrics before anything is
-//! written.
+//! Like `BENCH_3`/`BENCH_4`, [`Bench5Export::validate`] rejects NaN/empty
+//! metrics before anything is written.
 
 use std::time::Instant;
 
@@ -43,6 +42,8 @@ use psa_runtime::{
 use psa_workloads::{
     fountain_scene, myrinet_gcc, paper_run_config, snow_scene, vortex_scene, WorkloadSize,
 };
+
+use crate::artifact::{check_finite, fields, obj, Artifact, Json};
 
 /// Rank counts of the full sweep (the CI smoke tier trims this to 8/64).
 pub const BENCH5_RANKS: &[usize] = &[8, 32, 128, 512, 1024];
@@ -243,11 +244,11 @@ pub fn collect5(
     }
 }
 
-impl Bench5Export {
+impl Artifact for Bench5Export {
     /// Reject empty sweeps and non-finite metrics; require that the
     /// balancer demonstrably ran somewhere (a sweep whose DLB columns are
     /// all zero measured nothing worth publishing).
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.ranks.is_empty() {
             return Err("no rank counts swept".into());
         }
@@ -269,17 +270,16 @@ impl Bench5Export {
             }
             for c in &e.cells {
                 let cell = format!("{tag} {}r {}", c.ranks, c.balance);
-                for (name, v) in [
-                    ("makespan", c.makespan),
-                    ("steady_time", c.steady_time),
-                    ("speedup", c.speedup),
-                    ("mean_imbalance", c.mean_imbalance),
-                    ("wall_seconds", c.wall_seconds),
-                ] {
-                    if !v.is_finite() {
-                        return Err(format!("{cell}: {name} is {v}"));
-                    }
-                }
+                check_finite(
+                    &cell,
+                    &[
+                        ("makespan", c.makespan),
+                        ("steady_time", c.steady_time),
+                        ("speedup", c.speedup),
+                        ("mean_imbalance", c.mean_imbalance),
+                        ("wall_seconds", c.wall_seconds),
+                    ],
+                )?;
                 if c.makespan <= 0.0 || c.speedup <= 0.0 {
                     return Err(format!(
                         "{cell}: degenerate run (makespan {}, speedup {})",
@@ -315,81 +315,29 @@ impl Bench5Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_5.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 5,\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"systems\": {}, \"particles_per_system\": {}, \"scale\": {}, \"frames\": {}}},\n",
-            self.systems,
-            self.particles_per_system,
-            json_f64(self.scale),
-            self.frames
-        ));
-        s.push_str("  \"ranks\": [");
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
+    fn to_tree(&self) -> Json {
+        let experiments = self.experiments.iter().map(|e| {
+            let cells = e.cells.iter().map(|c| {
+                fields!(c => ranks, balance, makespan, steady_time, speedup, balance_rounds,
+                    balanced_particles, mean_imbalance, messages, events, wall_seconds)
+            });
+            obj! {
+                "workload" => e.workload,
+                "baseline_time" => e.baseline_time,
+                "cells" => cells.collect::<Json>(),
             }
-            s.push_str(&r.to_string());
+        });
+        let topology = self
+            .topology
+            .iter()
+            .map(|t| fields!(t => workload, ranks, radix, flat_makespan, fat_tree_makespan));
+        obj! {
+            "bench" => 5u64,
+            "workload" => fields!(self => systems, particles_per_system, scale, frames),
+            "ranks" => &self.ranks[..],
+            "experiments" => experiments.collect::<Json>(),
+            "topology" => topology.collect::<Json>(),
         }
-        s.push_str("],\n");
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"workload\": \"{}\",\n", e.workload));
-            s.push_str(&format!("      \"baseline_time\": {},\n", json_f64(e.baseline_time)));
-            s.push_str("      \"cells\": [\n");
-            for (j, c) in e.cells.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"ranks\": {}, \"balance\": \"{}\", \"makespan\": {}, \"steady_time\": {}, \"speedup\": {}, \"balance_rounds\": {}, \"balanced_particles\": {}, \"mean_imbalance\": {}, \"messages\": {}, \"events\": {}, \"wall_seconds\": {}}}{}\n",
-                    c.ranks,
-                    c.balance,
-                    json_f64(c.makespan),
-                    json_f64(c.steady_time),
-                    json_f64(c.speedup),
-                    c.balance_rounds,
-                    c.balanced_particles,
-                    json_f64(c.mean_imbalance),
-                    c.messages,
-                    c.events,
-                    json_f64(c.wall_seconds),
-                    if j + 1 < e.cells.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("      ]\n");
-            s.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.experiments.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"topology\": [\n");
-        for (i, t) in self.topology.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"ranks\": {}, \"radix\": {}, \"flat_makespan\": {}, \"fat_tree_makespan\": {}}}{}\n",
-                t.workload,
-                t.ranks,
-                t.radix,
-                json_f64(t.flat_makespan),
-                json_f64(t.fat_tree_makespan),
-                if i + 1 < self.topology.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -414,7 +362,7 @@ mod tests {
 
     #[test]
     fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
+        let j = smoke().to_json().expect("smoke export renders");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in [

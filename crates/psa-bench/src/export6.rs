@@ -38,6 +38,7 @@ use psa_desim::EventSim;
 use psa_runtime::{BalanceMode, BalancerConfig, ExchangeMode, RunConfig};
 use psa_workloads::{myrinet_gcc, paper_run_config, WorkloadSize};
 
+use crate::artifact::{check_finite, fields, obj, Artifact, Json};
 use crate::export5::Bench5Workload;
 
 /// Rank counts of the full sweep (CI's smoke tier trims this to 8/64).
@@ -195,7 +196,9 @@ impl Bench6Export {
             })
             .unwrap_or_else(|| panic!("missing cell {workload}/{ranks}r/{scenario}/{strategy}"))
     }
+}
 
+impl Artifact for Bench6Export {
     /// Structural validation plus the acceptance gates of the balancer
     /// suite whenever the sweep reaches [`BENCH6_DEAD_ZONE_RANKS`]:
     ///
@@ -208,7 +211,7 @@ impl Bench6Export {
     /// 4. at ≥ 1 dead-zone rank count a decentralized strategy (DEC or
     ///    DIF) beats the centralized DLB-adapt under degraded manager
     ///    links.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.ranks.is_empty() {
             return Err("no rank counts swept".into());
         }
@@ -227,17 +230,16 @@ impl Bench6Export {
             }
             for c in &e.cells {
                 let cell = format!("{tag} {}r {} {}", c.ranks, c.scenario, c.strategy);
-                for (name, v) in [
-                    ("makespan", c.makespan),
-                    ("steady_time", c.steady_time),
-                    ("mean_imbalance", c.mean_imbalance),
-                    ("final_imbalance", c.final_imbalance),
-                    ("wall_seconds", c.wall_seconds),
-                ] {
-                    if !v.is_finite() {
-                        return Err(format!("{cell}: {name} is {v}"));
-                    }
-                }
+                check_finite(
+                    &cell,
+                    &[
+                        ("makespan", c.makespan),
+                        ("steady_time", c.steady_time),
+                        ("mean_imbalance", c.mean_imbalance),
+                        ("final_imbalance", c.final_imbalance),
+                        ("wall_seconds", c.wall_seconds),
+                    ],
+                )?;
                 if c.makespan <= 0.0 {
                     return Err(format!("{cell}: degenerate makespan {}", c.makespan));
                 }
@@ -308,76 +310,22 @@ impl Bench6Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_6.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 6,\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"systems\": {}, \"particles_per_system\": {}, \"scale\": {}, \"frames\": {}}},\n",
-            self.systems,
-            self.particles_per_system,
-            json_f64(self.scale),
-            self.frames
-        ));
-        s.push_str("  \"ranks\": [");
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&r.to_string());
+    fn to_tree(&self) -> Json {
+        let experiments = self.experiments.iter().map(|e| {
+            let cells = e.cells.iter().map(|c| {
+                fields!(c => ranks, scenario, strategy, makespan, steady_time, balance_rounds,
+                    orders, mean_imbalance, final_imbalance, messages, events, wall_seconds)
+            });
+            obj! { "workload" => e.workload, "cells" => cells.collect::<Json>() }
+        });
+        obj! {
+            "bench" => 6u64,
+            "workload" => fields!(self => systems, particles_per_system, scale, frames),
+            "ranks" => &self.ranks[..],
+            "scenarios" => BENCH6_SCENARIOS,
+            "strategies" => BENCH6_STRATEGIES,
+            "experiments" => experiments.collect::<Json>(),
         }
-        s.push_str("],\n");
-        s.push_str(&format!(
-            "  \"scenarios\": [{}],\n",
-            BENCH6_SCENARIOS.iter().map(|v| format!("\"{v}\"")).collect::<Vec<_>>().join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"strategies\": [{}],\n",
-            BENCH6_STRATEGIES.iter().map(|v| format!("\"{v}\"")).collect::<Vec<_>>().join(", ")
-        ));
-        s.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"workload\": \"{}\",\n", e.workload));
-            s.push_str("      \"cells\": [\n");
-            for (j, c) in e.cells.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"ranks\": {}, \"scenario\": \"{}\", \"strategy\": \"{}\", \"makespan\": {}, \"steady_time\": {}, \"balance_rounds\": {}, \"orders\": {}, \"mean_imbalance\": {}, \"final_imbalance\": {}, \"messages\": {}, \"events\": {}, \"wall_seconds\": {}}}{}\n",
-                    c.ranks,
-                    c.scenario,
-                    c.strategy,
-                    json_f64(c.makespan),
-                    json_f64(c.steady_time),
-                    c.balance_rounds,
-                    c.orders,
-                    json_f64(c.mean_imbalance),
-                    json_f64(c.final_imbalance),
-                    c.messages,
-                    c.events,
-                    json_f64(c.wall_seconds),
-                    if j + 1 < e.cells.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("      ]\n");
-            s.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.experiments.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -406,7 +354,7 @@ mod tests {
 
     #[test]
     fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
+        let j = smoke().to_json().expect("smoke export renders");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in [

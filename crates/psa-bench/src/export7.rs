@@ -18,9 +18,8 @@
 //!   the fingerprint matches the multiplexed run byte-for-byte; a cell
 //!   that cannot prove parity does not validate.
 //!
-//! Like every other export, the JSON is hand-rolled and
-//! [`Bench7Export::validate`] rejects NaN/degenerate metrics before
-//! anything is written.
+//! Like every other export, [`Bench7Export::validate`] rejects
+//! NaN/degenerate metrics before anything is written.
 
 use std::time::Instant;
 
@@ -31,6 +30,8 @@ use psa_sessions::{
     TenantId,
 };
 use psa_workloads::{myrinet_gcc, paper_run_config, snow_scene, vortex_scene, WorkloadSize};
+
+use crate::artifact::{check_finite, fields, obj, Artifact, Json};
 
 /// Session counts of the full sweep (the CI smoke tier trims this).
 pub const BENCH7_SESSIONS: &[usize] = &[100, 300, 1000];
@@ -211,11 +212,11 @@ pub fn collect7(
     }
 }
 
-impl Bench7Export {
+impl Artifact for Bench7Export {
     /// Reject empty sweeps, incomplete pools, non-finite or degenerate
     /// latency/throughput numbers, and any cell that failed its parity
     /// spot check.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.session_counts.is_empty() {
             return Err("no session counts swept".into());
         }
@@ -231,18 +232,17 @@ impl Bench7Export {
                     c.completed, c.sessions
                 ));
             }
-            for (name, v) in [
-                ("makespan", c.makespan),
-                ("sessions_per_sec", c.sessions_per_sec),
-                ("p50_latency", c.p50_latency),
-                ("p99_latency", c.p99_latency),
-                ("mean_queue_wait", c.mean_queue_wait),
-                ("wall_seconds", c.wall_seconds),
-            ] {
-                if !v.is_finite() {
-                    return Err(format!("{cell}: {name} is {v}"));
-                }
-            }
+            check_finite(
+                &cell,
+                &[
+                    ("makespan", c.makespan),
+                    ("sessions_per_sec", c.sessions_per_sec),
+                    ("p50_latency", c.p50_latency),
+                    ("p99_latency", c.p99_latency),
+                    ("mean_queue_wait", c.mean_queue_wait),
+                    ("wall_seconds", c.wall_seconds),
+                ],
+            )?;
             if c.sessions_per_sec <= 0.0 {
                 return Err(format!("{cell}: throughput {} is degenerate", c.sessions_per_sec));
             }
@@ -271,56 +271,18 @@ impl Bench7Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_7.json` schema.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 7,\n");
-        s.push_str(&format!(
-            "  \"pool\": {{\"workers\": {}, \"max_in_flight\": {}, \"tenants\": {}, \"frames\": {}, \"particles_per_system\": {}}},\n",
-            self.workers, self.max_in_flight, self.tenants, self.frames, self.particles_per_system
-        ));
-        s.push_str("  \"session_counts\": [");
-        for (i, n) in self.session_counts.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&n.to_string());
+    fn to_tree(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            fields!(c => workload, sessions, completed, makespan, sessions_per_sec, p50_latency,
+                p99_latency, mean_queue_wait, dispatches, slot_recycles, slot_high_water,
+                parity_ok, wall_seconds)
+        });
+        obj! {
+            "bench" => 7u64,
+            "pool" => fields!(self => workers, max_in_flight, tenants, frames, particles_per_system),
+            "session_counts" => &self.session_counts[..],
+            "cells" => cells.collect::<Json>(),
         }
-        s.push_str("],\n");
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"sessions\": {}, \"completed\": {}, \"makespan\": {}, \"sessions_per_sec\": {}, \"p50_latency\": {}, \"p99_latency\": {}, \"mean_queue_wait\": {}, \"dispatches\": {}, \"slot_recycles\": {}, \"slot_high_water\": {}, \"parity_ok\": {}, \"wall_seconds\": {}}}{}\n",
-                c.workload,
-                c.sessions,
-                c.completed,
-                json_f64(c.makespan),
-                json_f64(c.sessions_per_sec),
-                json_f64(c.p50_latency),
-                json_f64(c.p99_latency),
-                json_f64(c.mean_queue_wait),
-                c.dispatches,
-                c.slot_recycles,
-                c.slot_high_water,
-                c.parity_ok,
-                json_f64(c.wall_seconds),
-                if i + 1 < self.cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// JSON-safe float (validation upstream keeps non-finite values out of
-/// written files).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -345,7 +307,7 @@ mod tests {
 
     #[test]
     fn json_is_balanced_and_complete() {
-        let j = smoke().to_json();
+        let j = smoke().to_json().expect("smoke export renders");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for key in [

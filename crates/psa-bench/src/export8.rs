@@ -33,6 +33,8 @@ use netsim::FaultPlan;
 use psa_runtime::{CheckpointConfig, RunConfig, RunReport, VirtualSim};
 use psa_workloads::{myrinet_gcc, snow_scene, WorkloadSize};
 
+use crate::artifact::{check_finite, fields, obj, Artifact, Json};
+
 /// Calculator counts of the full sweep (the CI smoke tier trims this).
 pub const BENCH8_CALCULATORS: &[usize] = &[4, 8];
 
@@ -189,11 +191,11 @@ pub fn collect8(
     }
 }
 
-impl Bench8Export {
+impl Artifact for Bench8Export {
     /// Reject empty sweeps, non-finite costs, and — the headline gate —
     /// any cell whose crash fell at or past the first snapshot yet failed
     /// to recover byte-identically for strictly less than a restart.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.calculators.is_empty() || self.intervals.is_empty() || self.crash_frames.is_empty()
         {
             return Err("empty sweep axis".into());
@@ -211,16 +213,15 @@ impl Bench8Export {
         for c in &self.cells {
             let cell =
                 format!("cell {}c interval {} crash@{}", c.calculators, c.interval, c.crash_frame);
-            for (name, v) in [
-                ("recovery_cost", c.recovery_cost),
-                ("restart_cost", c.restart_cost),
-                ("saved", c.saved),
-                ("wall_seconds", c.wall_seconds),
-            ] {
-                if !v.is_finite() {
-                    return Err(format!("{cell}: {name} is {v}"));
-                }
-            }
+            check_finite(
+                &cell,
+                &[
+                    ("recovery_cost", c.recovery_cost),
+                    ("restart_cost", c.restart_cost),
+                    ("saved", c.saved),
+                    ("wall_seconds", c.wall_seconds),
+                ],
+            )?;
             if c.restart_cost <= 0.0 {
                 return Err(format!("{cell}: restart cost {} is degenerate", c.restart_cost));
             }
@@ -276,61 +277,25 @@ impl Bench8Export {
         Ok(())
     }
 
-    /// Serialize to the `BENCH_8.json` schema.
-    pub fn to_json(&self) -> String {
-        fn list<T: std::fmt::Display>(xs: &[T]) -> String {
-            let mut s = String::from("[");
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&x.to_string());
-            }
-            s.push(']');
-            s
+    fn to_tree(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            fields!(c => calculators, interval, crash_frame, recovered, snapshot_frame,
+                frames_replayed, particles_restored, recovery_cost, restart_cost, saved,
+                fingerprint_ok, lost_particles, dead_ranks, wall_seconds)
+        });
+        obj! {
+            "bench" => 8u64,
+            "run" => obj! {
+                "frames" => self.frames,
+                "particles_per_system" => self.particles_per_system,
+                "seed" => self.seed,
+                "victim_rank" => BENCH8_VICTIM,
+            },
+            "calculators" => &self.calculators[..],
+            "intervals" => &self.intervals[..],
+            "crash_frames" => &self.crash_frames[..],
+            "cells" => cells.collect::<Json>(),
         }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": 8,\n");
-        s.push_str(&format!(
-            "  \"run\": {{\"frames\": {}, \"particles_per_system\": {}, \"seed\": {}, \"victim_rank\": {}}},\n",
-            self.frames, self.particles_per_system, self.seed, BENCH8_VICTIM
-        ));
-        s.push_str(&format!("  \"calculators\": {},\n", list(&self.calculators)));
-        s.push_str(&format!("  \"intervals\": {},\n", list(&self.intervals)));
-        s.push_str(&format!("  \"crash_frames\": {},\n", list(&self.crash_frames)));
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"calculators\": {}, \"interval\": {}, \"crash_frame\": {}, \"recovered\": {}, \"snapshot_frame\": {}, \"frames_replayed\": {}, \"particles_restored\": {}, \"recovery_cost\": {}, \"restart_cost\": {}, \"saved\": {}, \"fingerprint_ok\": {}, \"lost_particles\": {}, \"dead_ranks\": {}, \"wall_seconds\": {}}}{}\n",
-                c.calculators,
-                c.interval,
-                c.crash_frame,
-                c.recovered,
-                c.snapshot_frame,
-                c.frames_replayed,
-                c.particles_restored,
-                json_f64(c.recovery_cost),
-                json_f64(c.restart_cost),
-                json_f64(c.saved),
-                c.fingerprint_ok,
-                c.lost_particles,
-                c.dead_ranks,
-                json_f64(c.wall_seconds),
-                if i + 1 < self.cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
     }
 }
 
@@ -383,7 +348,7 @@ mod tests {
     #[test]
     fn json_shape_is_stable() {
         let data = collect8(&[4], &[2], &[5], 8, 200, 7);
-        let json = data.to_json();
+        let json = data.to_json().expect("smoke export renders");
         assert!(json.contains("\"bench\": 8"));
         assert!(json.contains("\"victim_rank\": 1"));
         assert!(json.contains("\"recovery_cost\""));

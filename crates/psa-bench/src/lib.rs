@@ -5,6 +5,7 @@
 //! binary prints alongside the paper's published values. Everything is
 //! deterministic: same seed, same table.
 
+pub mod artifact;
 pub mod export;
 pub mod export4;
 pub mod export5;
