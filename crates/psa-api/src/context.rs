@@ -189,10 +189,8 @@ impl Context {
     /// `pRandomAccel` — isotropic random acceleration.
     pub fn p_random_accel(&mut self, magnitude: Scalar) {
         self.recorded.push(Recorded::RandomAccel(magnitude));
-        let m = magnitude * self.dt;
-        for p in self.groups[self.current].particles_mut() {
-            p.velocity += self.rng.in_unit_sphere() * m;
-        }
+        let particles = self.groups[self.current].particles_mut();
+        RandomAccel::new(magnitude).accelerate(&mut self.rng, self.dt, particles);
     }
 
     /// `pDamping`.
@@ -373,6 +371,32 @@ mod tests {
         assert!(g.centroid().y > 0.5);
         // state was stamped
         assert!(g.particles().iter().all(|p| p.color == Vec3::new(0.4, 0.6, 1.0)));
+    }
+
+    /// `p_random_accel` draws through the shared `RandomAccel` helper; it
+    /// must match the per-particle scalar loop bit for bit, stream included.
+    #[test]
+    fn random_accel_matches_scalar_loop() {
+        let bits = |c: &Context| -> Vec<[u32; 3]> {
+            let v = c.current().particles().iter().map(|p| p.velocity);
+            v.map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
+        };
+        let (mut got, mut want) = (ctx(), ctx());
+        for frame in 0..12 {
+            for c in [&mut got, &mut want] {
+                c.p_new_frame();
+                c.p_source(37 + 20 * frame);
+            }
+            got.p_random_accel(1.5);
+            let m = 1.5 * want.dt;
+            for p in want.groups[want.current].particles_mut() {
+                p.velocity += want.rng.in_unit_sphere() * m;
+            }
+            assert_eq!(bits(&got), bits(&want), "frame {frame}");
+            assert_eq!(got.rng, want.rng, "frame {frame}: stream consumption differs");
+            got.p_move();
+            want.p_move();
+        }
     }
 
     #[test]

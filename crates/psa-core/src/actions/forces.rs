@@ -3,7 +3,7 @@
 
 use super::{Action, ActionCtx, ActionKind, ActionOutcome};
 use crate::{Particle, SubDomainStore};
-use psa_math::{Scalar, Vec3};
+use psa_math::{Rng64, Scalar, Vec3};
 
 /// Constant acceleration — gravity in the fountain experiment.
 #[derive(Clone, Copy, Debug)]
@@ -62,9 +62,29 @@ pub struct RandomAccel {
     pub magnitude: Scalar,
 }
 
+/// Particles per stack window of [`RandomAccel::accelerate`], matching the
+/// largest candidate block of [`Rng64::fill_in_unit_sphere`].
+const KICK_WINDOW: usize = 64;
+
 impl RandomAccel {
     pub fn new(magnitude: Scalar) -> Self {
         RandomAccel { magnitude }
+    }
+
+    /// Kick each particle's velocity by `magnitude · dt` times a unit-ball
+    /// sample, in slice order — bit-identical to drawing
+    /// [`Rng64::in_unit_sphere`] once per particle. Samples are drawn in
+    /// fixed 64-particle windows into a stack buffer, so nothing allocates.
+    pub fn accelerate(&self, rng: &mut Rng64, dt: Scalar, particles: &mut [Particle]) {
+        let mag = self.magnitude * dt;
+        let mut kicks = [Vec3::ZERO; KICK_WINDOW];
+        for window in particles.chunks_mut(KICK_WINDOW) {
+            let kicks = &mut kicks[..window.len()];
+            rng.fill_in_unit_sphere(kicks);
+            for (p, &k) in window.iter_mut().zip(kicks.iter()) {
+                p.velocity += k * mag;
+            }
+        }
     }
 }
 
@@ -78,14 +98,10 @@ impl Action for RandomAccel {
     }
 
     fn apply(&self, ctx: &mut ActionCtx<'_>, store: &mut SubDomainStore) -> ActionOutcome {
-        let mag = self.magnitude * ctx.dt;
-        let rng = &mut *ctx.rng;
-        let mut n = 0;
-        store.for_each_mut(|p| {
-            p.velocity += rng.in_unit_sphere() * mag;
-            n += 1;
-        });
-        ActionOutcome::applied(n)
+        for bucket in store.bucket_slices_mut() {
+            self.accelerate(ctx.rng, ctx.dt, bucket);
+        }
+        ActionOutcome::applied(store.len())
     }
 
     fn apply_chunk(
@@ -93,10 +109,7 @@ impl Action for RandomAccel {
         ctx: &mut ActionCtx<'_>,
         chunk: &mut [Particle],
     ) -> Option<ActionOutcome> {
-        let mag = self.magnitude * ctx.dt;
-        for p in chunk.iter_mut() {
-            p.velocity += ctx.rng.in_unit_sphere() * mag;
-        }
+        self.accelerate(ctx.rng, ctx.dt, chunk);
         Some(ActionOutcome::applied(chunk.len()))
     }
 
@@ -264,7 +277,7 @@ impl Action for OrbitPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_math::{Axis, Interval, Rng64};
+    use psa_math::{Axis, Interval};
 
     fn store_with(ps: &[Vec3]) -> SubDomainStore {
         let mut s = SubDomainStore::new(Interval::new(-100.0, 100.0), Axis::X, 2);
@@ -302,6 +315,68 @@ mod tests {
         }
         // at least some particles actually got kicked
         assert!(s1.iter().any(|p| p.velocity.length() > 0.0));
+    }
+
+    /// Particles spread over every bucket, with distinct starting
+    /// velocities so a kick applied to the wrong particle shows.
+    fn scattered(n: usize) -> Vec<Particle> {
+        let mut rng = Rng64::new(3);
+        (0..n)
+            .map(|_| {
+                let mut p = Particle::at(Vec3::new(rng.range(-100.0, 100.0), 0.0, 0.0));
+                p.velocity = rng.in_unit_sphere();
+                p
+            })
+            .collect()
+    }
+
+    fn velocity_bits(ps: impl Iterator<Item = Particle>) -> Vec<[u32; 3]> {
+        ps.map(|p| [p.velocity.x.to_bits(), p.velocity.y.to_bits(), p.velocity.z.to_bits()])
+            .collect()
+    }
+
+    /// The scalar reference: one `in_unit_sphere` draw per particle.
+    fn reference_kicks(rng: &mut Rng64, mag: Scalar, ps: &mut [Particle]) {
+        for p in ps {
+            p.velocity += rng.in_unit_sphere() * mag;
+        }
+    }
+
+    #[test]
+    fn random_accel_apply_matches_scalar_loop() {
+        let a = RandomAccel::new(2.5);
+        for n in [0, 1, 2, 3, 63, 64, 65, 500, 3000] {
+            let mut store = SubDomainStore::new(Interval::new(-100.0, 100.0), Axis::X, 16);
+            store.extend(scattered(n));
+            let mut want: Vec<Particle> = store.iter().copied().collect();
+            let mut want_rng = Rng64::new(11);
+            reference_kicks(&mut want_rng, 2.5 * 0.1, &mut want);
+
+            let mut rng = Rng64::new(11);
+            let out = a.apply(&mut ActionCtx { dt: 0.1, frame: 1, rng: &mut rng }, &mut store);
+            assert_eq!(out.applied, n);
+            assert_eq!(velocity_bits(store.iter().copied()), velocity_bits(want.into_iter()));
+            assert_eq!(rng.state(), want_rng.state(), "n = {n}: stream consumption differs");
+        }
+    }
+
+    #[test]
+    fn random_accel_apply_chunk_matches_scalar_loop() {
+        let a = RandomAccel::new(0.8);
+        let root = Rng64::new(5);
+        for chunk in [7, 64, 1024] {
+            let mut got = scattered(3000);
+            let mut want = got.clone();
+            for (ci, (g, w)) in got.chunks_mut(chunk).zip(want.chunks_mut(chunk)).enumerate() {
+                let mut rng = root.split(ci as u64);
+                let mut want_rng = rng.clone();
+                let mut ctx = ActionCtx { dt: 0.2, frame: 1, rng: &mut rng };
+                assert_eq!(a.apply_chunk(&mut ctx, g).map(|o| o.applied), Some(g.len()));
+                reference_kicks(&mut want_rng, 0.8 * 0.2, w);
+                assert_eq!(rng, want_rng, "chunk {chunk}, piece {ci}: stream consumption differs");
+            }
+            assert_eq!(velocity_bits(got.into_iter()), velocity_bits(want.into_iter()));
+        }
     }
 
     #[test]

@@ -1016,7 +1016,8 @@ impl<F: Fabric> Engine<F> {
     /// Creation at the manager (paper §3.2.1): emit, route by domain, ship
     /// batches with end-of-transmission markers.
     fn phase_creation(&mut self, frame: u64, sys: usize) -> Result<(), ProtocolError> {
-        let spec = self.scene.systems[sys].spec.clone();
+        let spec = &self.scene.systems[sys].spec;
+        let system = spec.id;
         let mut rng_c = stream(self.cfg.seed, TAG_CREATE, frame, sys, 0);
         let mut newborn = std::mem::take(&mut self.newborn_scratch);
         newborn.clear();
@@ -1036,12 +1037,8 @@ impl<F: Fabric> Engine<F> {
             // The message owns its batch (it crosses the fabric); only the
             // staging spine and its capacity are reused.
             let batch: Vec<Particle> = self.create_batches[c].drain(..).collect();
-            self.send_to(
-                self.mgr,
-                c,
-                Msg::Particles { system: spec.id, batch, scale: self.scale },
-            )?;
-            self.send_to(self.mgr, c, Msg::EndOfTransmission { system: spec.id })?;
+            self.send_to(self.mgr, c, Msg::Particles { system, batch, scale: self.scale })?;
+            self.send_to(self.mgr, c, Msg::EndOfTransmission { system })?;
         }
         Ok(())
     }
@@ -1069,7 +1066,7 @@ impl<F: Fabric> Engine<F> {
     /// slowdown inflates both the charged time and the load it will
     /// report, so dynamic balancing shifts work away from slow nodes.
     fn phase_calculus(&mut self, frame: u64, sys: usize) {
-        let setup = self.scene.systems[sys].clone();
+        let actions = &self.scene.systems[sys].actions;
         for c in 0..self.n {
             if self.crashed[c] {
                 continue;
@@ -1081,7 +1078,7 @@ impl<F: Fabric> Engine<F> {
             // depends only on the weighted work, so the same seed yields the
             // same fingerprint at every worker count.
             let kr = kernel::run_actions(
-                &setup.actions,
+                actions,
                 self.cfg.dt,
                 frame,
                 rng_a,
